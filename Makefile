@@ -14,7 +14,7 @@ CHURN_EPOCHS ?= 1000
 # each checked for k in 1..3 by both backends.
 VERIFY_DIFF_SEEDS ?= 60
 
-.PHONY: build test race vet lint fuzz-short faults obs serve-test cache-test churn crash verify-diff batch check
+.PHONY: build test race vet lint fuzz-short faults obs serve-test cache-test churn crash verify-diff batch bench-check check
 
 build:
 	$(GO) build ./...
@@ -74,7 +74,7 @@ cache-test:
 	$(GO) test -race -run 'TestCache|TestWarmStart|TestMemoryPressure' ./internal/server/
 
 # Churn-controller gate under the race detector: the controller unit and
-# lifecycle tests plus the full-scale Poisson churn simulation (CHURN_EPOCHS
+# lifecycle tests plus the full-scale churn simulation (CHURN_EPOCHS
 # topology epochs, seeded), writing the event-latency SLO histogram artifact
 # to BENCH_churn_slo.json. The default `go test` run uses a reduced epoch
 # target; this target drives the full one.
@@ -112,4 +112,12 @@ batch:
 	$(GO) test -race -run 'TestSynthesizeAll|TestShared|TestPool|TestReset|TestSingleflight|TestSubmitBurst|TestHTTPSynthesizeAll' ./internal/resilience/ ./internal/reduce/ ./internal/bdd/ ./internal/cache/ ./internal/server/
 	$(GO) run ./cmd/syrep-bench -fig alldests -alldests-json $(CURDIR)/BENCH_all_dests.json
 
-check: build vet lint test race faults obs serve-test cache-test churn crash verify-diff batch
+# The benchmark (bench/) is a Go module of its own, so neither `go build
+# ./...` nor `go test ./...` at the root compiles it: vet and test it here,
+# so a root change to an API it drives (resilience.Options, the obs.BDD*
+# names, verify.Check, ...) fails the gate instead of breaking the
+# benchmark silently. The test includes a short smoke run of every workload.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+check: build vet lint test race faults obs serve-test cache-test churn crash verify-diff batch bench-check

@@ -9,7 +9,7 @@
 //	syrep-ctl [-topology name] [-dests a,b] [-k N] [-sink URL] [-out file]
 //	syrep-ctl [-topology name] -links
 //
-// In -sim mode a seeded Poisson churn simulation drives the controller
+// In -sim mode a seeded churn simulation drives the controller
 // against an in-memory sink and prints its accounting (optionally writing
 // the SLO artifact JSON to -out).
 //

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"syrep/internal/obs"
 )
@@ -45,34 +46,46 @@ var ErrNodeLimit = errors.New("bdd: node limit exceeded")
 type node struct {
 	level     Var
 	low, high Ref
+	// next links the node into its unique-table bucket; 0 (False, never
+	// chained) ends a chain.
+	next Ref
 }
 
-type uniqueKey struct {
-	level     Var
-	low, high Ref
-}
+// freeLevel marks a recycled slot: GC stamps it on every node it frees, so
+// walks over the arena skip free slots without consulting the free list.
+const freeLevel = Var(-1)
+
+// minTable is the initial size of the node arena, the unique table and the
+// operation cache.
+const minTable = 1 << 10
 
 // Manager owns BDD nodes and caches.
 type Manager struct {
-	nodes    []node
-	unique   map[uniqueKey]Ref
-	free     []Ref // recycled node slots
+	// nodes is the arena: Refs index it, and slots on free are recycled.
+	nodes []node
+	free  []Ref
+	// buckets heads the unique table's chains, which are threaded through
+	// the arena by node.next. Its length is a power of two, doubled
+	// whenever the live nodes outnumber it; shift selects a bucket from the
+	// top bits of a 64-bit hash.
+	buckets  []Ref
+	shift    uint
 	varNames []string
 
-	cache     map[cacheKey]Ref
-	protected map[Ref]int
+	// cache is the lossy, direct-mapped operation cache (see ops.go);
+	// cacheFilled reports that some slot may be occupied.
+	cache       []cacheEntry
+	cacheShift  uint
+	cacheFilled bool
+	protected   map[Ref]int
 
-	nodeLimit   int // hard cap on live nodes (0 = unlimited)
-	gcThreshold int // try GC when live nodes exceed this
-	overflowed  bool
+	nodeLimit  int // hard cap on live nodes (0 = unlimited)
+	overflowed bool
 
 	// var2level / level2var implement dynamic variable reordering (see
 	// reorder.go); empty slices mean the identity permutation.
 	var2level []Var
 	level2var []Var
-
-	// Stats counts operations for benchmarking and tuning.
-	Stats Stats
 
 	// Observability taps (see Observe). Each is nil when no observer is
 	// attached, and obs.Counter/Gauge methods are no-ops on nil receivers,
@@ -85,9 +98,8 @@ type Manager struct {
 // Observe attaches the obs counter bundle c to the Manager so hot-path
 // events (mk calls, node allocations, apply-cache hits/misses, GC runs,
 // freed nodes, reorder passes, peak live nodes) stream into it atomically.
-// Passing nil detaches. The per-Manager Stats field keeps counting either
-// way; Observe adds a cross-Manager, goroutine-safe aggregation channel for
-// the observability layer.
+// Passing nil detaches. The taps are the Manager's only counters; one
+// bundle may be shared by many Managers, which aggregate into it.
 func (m *Manager) Observe(c *obs.BDDCounters) {
 	if c == nil {
 		m.obsMk, m.obsAlloc, m.obsCacheHit, m.obsCacheMiss = nil, nil, nil, nil
@@ -101,24 +113,12 @@ func (m *Manager) Observe(c *obs.BDDCounters) {
 	m.obsPeak = c.PeakNodes
 }
 
-// Stats aggregates operation counters.
-type Stats struct {
-	MkCalls    int64
-	CacheHits  int64
-	CacheMiss  int64
-	GCs        int64
-	NodesFreed int64
-	Reorders   int64
-}
-
 // Config tunes a Manager.
 type Config struct {
 	// NodeLimit caps live BDD nodes; 0 means unlimited. When the limit is
 	// hit, the Manager garbage-collects; if still over, the current
 	// operation aborts (see Protect).
 	NodeLimit int
-	// InitialCapacity pre-sizes the node store.
-	InitialCapacity int
 }
 
 // New returns a Manager with default configuration.
@@ -126,22 +126,23 @@ func New() *Manager { return NewWithConfig(Config{}) }
 
 // NewWithConfig returns a Manager tuned by cfg.
 func NewWithConfig(cfg Config) *Manager {
-	capacity := cfg.InitialCapacity
-	if capacity < 1024 {
-		capacity = 1024
-	}
 	m := &Manager{
-		nodes:       make([]node, 2, capacity),
-		unique:      make(map[uniqueKey]Ref, capacity),
-		cache:       make(map[cacheKey]Ref, capacity),
-		protected:   make(map[Ref]int),
-		nodeLimit:   cfg.NodeLimit,
-		gcThreshold: 1 << 16,
+		nodes:      make([]node, 2, minTable),
+		buckets:    make([]Ref, minTable),
+		shift:      tableShift(minTable),
+		cache:      make([]cacheEntry, cacheSize(minTable)),
+		cacheShift: tableShift(cacheSize(minTable)),
+		protected:  make(map[Ref]int),
+		nodeLimit:  cfg.NodeLimit,
 	}
 	m.nodes[False] = node{level: terminalLevel, low: False, high: False}
 	m.nodes[True] = node{level: terminalLevel, low: True, high: True}
 	return m
 }
+
+// tableShift returns the right shift that maps a 64-bit hash onto a table
+// of size slots (a power of two).
+func tableShift(size int) uint { return uint(64 - bits.TrailingZeros(uint(size))) }
 
 // NewVar declares the next variable in the order and returns it.
 func (m *Manager) NewVar(name string) Var {
@@ -217,14 +218,14 @@ func (m *Manager) Lit(v Var, positive bool) Ref {
 // mk returns the canonical node (level, low, high), applying the reduction
 // rules (low == high elimination, hash-consing).
 func (m *Manager) mk(level Var, low, high Ref) Ref {
-	m.Stats.MkCalls++
 	m.obsMk.Inc()
 	if low == high {
 		return low
 	}
-	key := uniqueKey{level: level, low: low, high: high}
-	if r, ok := m.unique[key]; ok {
-		return r
+	for r := m.buckets[m.hash(level, low, high)]; r != 0; r = m.nodes[r].next {
+		if n := &m.nodes[r]; n.level == level && n.low == low && n.high == high {
+			return r
+		}
 	}
 	if m.nodeLimit > 0 && m.NumNodes() >= m.nodeLimit {
 		m.overflowed = true
@@ -239,10 +240,66 @@ func (m *Manager) mk(level Var, low, high Ref) Ref {
 		r = Ref(len(m.nodes))
 		m.nodes = append(m.nodes, node{level: level, low: low, high: high})
 	}
-	m.unique[key] = r
+	m.link(r)
 	m.obsAlloc.Inc()
 	m.obsPeak.SetMax(int64(m.NumNodes()))
 	return r
+}
+
+// hash selects the unique-table bucket of (level, low, high): a
+// multiplicative hash read from its top bits.
+func (m *Manager) hash(level Var, low, high Ref) uint64 {
+	h := (uint64(uint32(low))<<32 | uint64(uint32(high))) * 0x9E3779B97F4A7C15
+	h ^= uint64(uint32(level)) * 0xC2B2AE3D27D4EB4F
+	return h >> m.shift
+}
+
+// link pushes node r onto the head of its bucket's chain, first doubling
+// the table when the live nodes outnumber the buckets.
+func (m *Manager) link(r Ref) {
+	if m.NumNodes() > len(m.buckets) {
+		m.grow()
+	}
+	m.chain(r)
+}
+
+// chain pushes node r onto the head of its bucket's chain.
+func (m *Manager) chain(r Ref) {
+	n := &m.nodes[r]
+	i := m.hash(n.level, n.low, n.high)
+	n.next = m.buckets[i]
+	m.buckets[i] = r
+}
+
+// unlink removes node r from its bucket's chain.
+func (m *Manager) unlink(r Ref) {
+	n := &m.nodes[r]
+	p := &m.buckets[m.hash(n.level, n.low, n.high)]
+	for *p != r {
+		p = &m.nodes[*p].next
+	}
+	*p = n.next
+}
+
+// grow doubles the unique table, rehashing by walking the old chains, and
+// lets the operation cache follow it (see cacheSize). Only chained nodes
+// move: a node swapLevels has unlinked for rewriting stays off every chain
+// until the swap links it again, so a doubling in the middle of a swap
+// cannot chain a node twice.
+func (m *Manager) grow() {
+	old := m.buckets
+	m.buckets = make([]Ref, 2*len(old))
+	m.shift--
+	for _, r := range old {
+		for r != 0 {
+			next := m.nodes[r].next
+			m.chain(r)
+			r = next
+		}
+	}
+	if size := cacheSize(len(m.buckets)); size > len(m.cache) {
+		m.resizeCache(size)
+	}
 }
 
 // bddOverflow is the panic payload for node-limit aborts; Protect converts

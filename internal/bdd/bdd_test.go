@@ -554,16 +554,6 @@ func TestWriteDOT(t *testing.T) {
 	}
 }
 
-func TestClearCache(t *testing.T) {
-	m, xs := newMgr(t, 4)
-	f := m.And(m.VarRef(xs[0]), m.VarRef(xs[1]))
-	m.ClearCache()
-	// Same result after clearing the cache.
-	if m.And(m.VarRef(xs[0]), m.VarRef(xs[1])) != f {
-		t.Error("result changed after ClearCache")
-	}
-}
-
 func TestEvalDefaultsMissingVarsToFalse(t *testing.T) {
 	m, xs := newMgr(t, 2)
 	f := m.Or(m.VarRef(xs[0]), m.Not(m.VarRef(xs[1])))

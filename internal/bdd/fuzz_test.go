@@ -49,23 +49,65 @@ func tableOf(m *Manager, f Ref) uint64 {
 }
 
 // checkStructure asserts the ROBDD structural invariants over every live
-// node: strictly increasing levels, no redundant tests, and a unique table
-// that mirrors the node store exactly (hash-consing cannot have duplicates).
+// node — strictly increasing levels, no redundant tests — and that the
+// unique table mirrors the arena exactly: every live node sits on exactly
+// one chain, the one its hash selects; free slots sit on none and are
+// exactly the free list; and no two live nodes share (level, low, high), so
+// hash-consing cannot have duplicates.
 func checkStructure(t *testing.T, m *Manager) {
 	t.Helper()
-	for key, ref := range m.unique {
-		n := m.nodes[ref]
-		if n.level != key.level || n.low != key.low || n.high != key.high {
-			t.Fatalf("unique table entry %+v does not match node %d: %+v", key, ref, n)
+	if n := len(m.buckets); n&(n-1) != 0 || m.NumNodes() > n {
+		t.Fatalf("unique table has %d buckets for %d nodes, want a power of two at least as large", n, m.NumNodes())
+	}
+	onFree := make(map[Ref]bool, len(m.free))
+	for _, r := range m.free {
+		if onFree[r] || m.nodes[r].level != freeLevel {
+			t.Fatalf("free list entry %d is duplicated or not marked free", r)
 		}
-		if n.low == n.high {
-			t.Fatalf("redundant node %d: low == high == %d", ref, n.low)
-		}
-		for _, child := range []Ref{n.low, n.high} {
-			if !IsTerminal(child) && m.nodes[child].level <= n.level {
-				t.Fatalf("node %d at level %d has child %d at level %d (order violated)",
-					ref, n.level, child, m.nodes[child].level)
+		onFree[r] = true
+	}
+	chained := make(map[Ref]bool)
+	type key struct {
+		level     Var
+		low, high Ref
+	}
+	seen := make(map[key]Ref)
+	for b, head := range m.buckets {
+		for r := head; r != 0; r = m.nodes[r].next {
+			if int(r) < 2 || int(r) >= len(m.nodes) || chained[r] {
+				t.Fatalf("bucket %d chains node %d out of range or twice", b, r)
 			}
+			chained[r] = true
+			n := m.nodes[r]
+			if n.level == freeLevel {
+				t.Fatalf("free slot %d sits on bucket %d's chain", r, b)
+			}
+			if h := m.hash(n.level, n.low, n.high); h != uint64(b) {
+				t.Fatalf("node %d sits in bucket %d, its hash selects %d", r, b, h)
+			}
+			k := key{n.level, n.low, n.high}
+			if dup, ok := seen[k]; ok {
+				t.Fatalf("nodes %d and %d are both (%d, %d, %d)", dup, r, n.level, n.low, n.high)
+			}
+			seen[k] = r
+			if n.low == n.high {
+				t.Fatalf("redundant node %d: low == high == %d", r, n.low)
+			}
+			for _, child := range []Ref{n.low, n.high} {
+				if !IsTerminal(child) && m.nodes[child].level <= n.level {
+					t.Fatalf("node %d at level %d has child %d at level %d (order violated)",
+						r, n.level, child, m.nodes[child].level)
+				}
+			}
+		}
+	}
+	for r := Ref(2); int(r) < len(m.nodes); r++ {
+		if m.nodes[r].level == freeLevel {
+			if !onFree[r] {
+				t.Fatalf("slot %d is marked free but not on the free list", r)
+			}
+		} else if !chained[r] {
+			t.Fatalf("live node %d sits on no chain", r)
 		}
 	}
 }

@@ -1,7 +1,5 @@
 package bdd
 
-import "sort"
-
 // Garbage collection: mark from protected roots, sweep everything else.
 // Refs of live nodes are stable across GC; freed slots are recycled by mk.
 // The operation cache is cleared because it may reference freed nodes.
@@ -13,7 +11,6 @@ import "sort"
 // GC frees every node unreachable from protected roots and returns the
 // number of freed nodes.
 func (m *Manager) GC() int {
-	m.Stats.GCs++
 	m.obsGC.Inc()
 	marked := make([]bool, len(m.nodes))
 	marked[False] = true
@@ -39,36 +36,24 @@ func (m *Manager) GC() int {
 		push(n.high)
 	}
 
-	// Sweep: rebuild the unique table, recycle dead slots. The dead slots
-	// are discovered in map order; sort them before they join the free list
-	// so mk recycles Refs in the same order every run — otherwise two
-	// identical synthesis runs diverge in Ref numbering after the first GC.
+	// Sweep the arena in Ref order and rebuild the chains from the
+	// survivors. The dead slots join the free list in ascending order, so mk
+	// recycles Refs in the same order every run.
 	freedBefore := len(m.free)
-	inFree := make([]bool, len(m.nodes))
-	for _, f := range m.free {
-		inFree[f] = true
-	}
-	var swept []Ref
-	for key, ref := range m.unique {
-		if !marked[ref] {
-			delete(m.unique, key)
-			if !inFree[ref] {
-				swept = append(swept, ref)
-				inFree[ref] = true
-			}
+	clear(m.buckets)
+	for r := Ref(2); int(r) < len(m.nodes); r++ {
+		n := &m.nodes[r]
+		switch {
+		case n.level == freeLevel:
+		case marked[r]:
+			m.chain(r)
+		default:
+			n.level = freeLevel
+			m.free = append(m.free, r)
 		}
 	}
-	sort.Slice(swept, func(i, j int) bool { return swept[i] < swept[j] })
-	m.free = append(m.free, swept...)
-	m.cache = make(map[cacheKey]Ref, 1024)
+	m.clearCache()
 	freed := len(m.free) - freedBefore
-	m.Stats.NodesFreed += int64(freed)
 	m.obsFreed.Add(int64(freed))
 	return freed
-}
-
-// ClearCache drops the operation cache without freeing nodes. Useful to
-// bound memory between independent problem instances sharing a Manager.
-func (m *Manager) ClearCache() {
-	m.cache = make(map[cacheKey]Ref, 1024)
 }

@@ -39,31 +39,19 @@ func buildAndChurn(t *testing.T, m *bdd.Manager) {
 	m.Reorder(bdd.ReorderConfig{})
 }
 
-// TestObserveTapsMirrorStats: with an observer attached, the atomic taps see
-// exactly what the Manager's own (non-atomic, per-Manager) Stats see.
-func TestObserveTapsMirrorStats(t *testing.T) {
+// TestObserveTaps: with an observer attached, every instrumented path of
+// the fixture shows up in the taps, which are the Manager's only counters.
+func TestObserveTaps(t *testing.T) {
 	o := obs.New(nil)
 	m := bdd.New()
 	m.Observe(o.BDD())
 	buildAndChurn(t, m)
 	snap := o.Snapshot()
-	if got, want := snap.Counter(obs.BDDMkCalls), m.Stats.MkCalls; got != want {
-		t.Errorf("mk calls: counter %d, Stats %d", got, want)
+	if snap.Counter(obs.BDDMkCalls) == 0 || snap.Counter(obs.BDDCacheMisses) == 0 {
+		t.Error("fixture never called mk or missed the apply cache")
 	}
-	if got, want := snap.Counter(obs.BDDCacheHits), m.Stats.CacheHits; got != want {
-		t.Errorf("cache hits: counter %d, Stats %d", got, want)
-	}
-	if got, want := snap.Counter(obs.BDDCacheMisses), m.Stats.CacheMiss; got != want {
-		t.Errorf("cache misses: counter %d, Stats %d", got, want)
-	}
-	if got, want := snap.Counter(obs.BDDGCRuns), m.Stats.GCs; got != want {
-		t.Errorf("gc runs: counter %d, Stats %d", got, want)
-	}
-	if got, want := snap.Counter(obs.BDDNodesFreed), m.Stats.NodesFreed; got != want {
-		t.Errorf("nodes freed: counter %d, Stats %d", got, want)
-	}
-	if got, want := snap.Counter(obs.BDDReorders), m.Stats.Reorders; got != want {
-		t.Errorf("reorders: counter %d, Stats %d", got, want)
+	if snap.Counter(obs.BDDNodesFreed) == 0 {
+		t.Error("fixture's GC freed nothing")
 	}
 	if snap.Counter(obs.BDDCacheHits) == 0 {
 		t.Error("fixture never hit the apply cache")
@@ -97,12 +85,12 @@ func TestObserveDetach(t *testing.T) {
 	}
 }
 
-// TestUnobservedManagerRuns: the default Manager (nil taps everywhere) works
-// and keeps its Stats, proving the nil fast path is exercised by every op.
+// TestUnobservedManagerRuns: the default Manager (nil taps everywhere) runs
+// the whole fixture, proving the nil fast path is exercised by every op.
 func TestUnobservedManagerRuns(t *testing.T) {
 	m := bdd.New()
 	buildAndChurn(t, m)
-	if m.Stats.MkCalls == 0 {
-		t.Error("Stats.MkCalls = 0")
+	if m.NumNodes() <= 2 {
+		t.Errorf("fixture left %d live nodes, want its protected functions", m.NumNodes())
 	}
 }

@@ -56,19 +56,76 @@ const (
 	kindSatCount
 )
 
-func (m *Manager) cacheGet(k cacheKey) (Ref, bool) {
-	r, ok := m.cache[k]
-	if ok {
-		m.Stats.CacheHits++
-		m.obsCacheHit.Inc()
-	} else {
-		m.Stats.CacheMiss++
-		m.obsCacheMiss.Inc()
-	}
-	return r, ok
+// cacheEntry is one slot of the operation cache. A zero kind marks an
+// empty slot, which no key matches.
+type cacheEntry struct {
+	key cacheKey
+	r   Ref
 }
 
-func (m *Manager) cachePut(k cacheKey, r Ref) { m.cache[k] = r }
+// The operation cache is lossy and direct-mapped, as in CUDD: a key has one
+// slot, and a put overwrites whatever sits there. Losing an entry only makes
+// a recursion recompute a result, never changes it, and never changes which
+// nodes get allocated: the cache is emptied whenever a node dies or is
+// rewritten (GC, reordering, Reset), so every node the evicted computation
+// built still exists and the recomputation's mk calls all find them. The
+// sequence of node allocations, and hence every Ref, is therefore the same
+// as under an exact cache; only mk calls and the hit ratio move.
+//
+// The cache follows the unique table in size, one slot per two buckets
+// (cacheSize), so a small solve keeps a small cache; it never shrinks, and
+// stops growing at maxCache slots (20 MiB).
+const maxCache = 1 << 20
+
+// cacheSize returns the cache slots for a unique table of the given size.
+func cacheSize(buckets int) int { return max(minTable, min(buckets/2, maxCache)) }
+
+// cacheSlot returns the slot of key k.
+func (m *Manager) cacheSlot(k cacheKey) *cacheEntry {
+	h := (uint64(uint32(k.a))<<32 | uint64(uint32(k.b))) * 0x9E3779B97F4A7C15
+	h ^= (uint64(uint32(k.c))<<16 | uint64(k.kind)<<8 | uint64(k.op)) * 0xC2B2AE3D27D4EB4F
+	return &m.cache[h>>m.cacheShift]
+}
+
+// resizeCache replaces the cache with one of size slots, carrying the
+// current entries over.
+func (m *Manager) resizeCache(size int) {
+	old := m.cache
+	m.cache = make([]cacheEntry, size)
+	m.cacheShift = tableShift(size)
+	if !m.cacheFilled {
+		return
+	}
+	for _, e := range old {
+		if e.key.kind != 0 {
+			*m.cacheSlot(e.key) = e
+		}
+	}
+}
+
+// clearCache empties the cache. Sifting collects and swaps many times in a
+// row with no operation in between, so only the first call after a put pays
+// for the clear.
+func (m *Manager) clearCache() {
+	if m.cacheFilled {
+		clear(m.cache)
+		m.cacheFilled = false
+	}
+}
+
+func (m *Manager) cacheGet(k cacheKey) (Ref, bool) {
+	if e := m.cacheSlot(k); e.key == k {
+		m.obsCacheHit.Inc()
+		return e.r, true
+	}
+	m.obsCacheMiss.Inc()
+	return False, false
+}
+
+func (m *Manager) cachePut(k cacheKey, r Ref) {
+	*m.cacheSlot(k) = cacheEntry{key: k, r: r}
+	m.cacheFilled = true
+}
 
 // And returns a ∧ b.
 func (m *Manager) And(a, b Ref) Ref { return m.Apply(OpAnd, a, b) }

@@ -17,29 +17,27 @@ import "sync"
 // across runs and the cache replays them across processes. Reset therefore
 // restores every piece of semantic state — nodes, unique table, operation
 // cache, protections, free list, variable order — and only the allocation
-// capacity survives. The cumulative Stats counters also survive: they are
-// bookkeeping, not semantics.
+// capacity survives: the arena, the bucket array and the cache are emptied
+// in place, not reallocated. Their sizes never change a result: the bucket
+// count only sets chain lengths, and a larger cache only loses fewer
+// entries, which changes mk calls and hit ratios but not allocations (see
+// ops.go).
 
 // Reset restores the Manager to the state of a fresh NewWithConfig with the
-// same NodeLimit, keeping allocated capacity where possible. Observability
-// taps are detached (re-attach with Observe); Stats keeps accumulating
-// across uses.
+// same NodeLimit, keeping allocated capacity. Observability taps are
+// detached (re-attach with Observe).
 func (m *Manager) Reset() {
 	m.nodes = m.nodes[:2]
 	m.nodes[False] = node{level: terminalLevel, low: False, high: False}
 	m.nodes[True] = node{level: terminalLevel, low: True, high: True}
-	// Maps are rebuilt rather than range-deleted: after a large solve a
-	// cleared map would pin its grown bucket array forever, defeating the
-	// memory bound the node limit exists for.
-	m.unique = make(map[uniqueKey]Ref, 1024)
-	m.cache = make(map[cacheKey]Ref, 1024)
-	m.protected = make(map[Ref]int)
+	clear(m.buckets)
+	m.clearCache()
+	clear(m.protected)
 	m.free = m.free[:0]
 	m.varNames = m.varNames[:0]
 	m.var2level = m.var2level[:0]
 	m.level2var = m.level2var[:0]
 	m.overflowed = false
-	m.gcThreshold = 1 << 16
 	m.Observe(nil)
 }
 

@@ -45,6 +45,36 @@ func opTrace(t *testing.T, m *bdd.Manager) []bdd.Ref {
 	return trace
 }
 
+// TestOpTraceGolden pins the literal Ref sequence of opTrace followed by one
+// Reorder and a rebuild on the reordered manager. The other determinism
+// tests compare two managers of one build, so only a pinned sequence can see
+// a change to the node tables that renumbers Refs: the order slots are
+// allocated in, the ascending free list GC builds, its LIFO reuse by mk, and
+// the nodes in-place swaps rewrite and leave for the sifting GCs to collect.
+func TestOpTraceGolden(t *testing.T) {
+	m := bdd.NewWithConfig(bdd.Config{NodeLimit: 1 << 16})
+	trace := opTrace(t, m)
+	m.Reorder(bdd.ReorderConfig{})
+	trace = append(trace, bdd.Ref(m.NumNodes()))
+	err := m.Protect(func() error {
+		for v := 0; v < m.NumVars(); v++ {
+			a, b := m.VarRef(bdd.Var(v)), m.NVarRef(bdd.Var((v+5)%m.NumVars()))
+			trace = append(trace, m.Xor(a, b), m.And(m.Or(a, b), m.Xor(a, m.VarRef(bdd.Var((v+2)%m.NumVars())))))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []bdd.Ref{
+		4, 4, 10, 7, 22, 13, 42, 25, 70, 45, 86, 73, 98, 89, 110, 101, // opTrace: f, g per variable
+		114, 117, 121, 126, 132, 138, 144, 151, // opTrace after GC
+		49, // live nodes after Reorder
+		148, 133, 130, 111, 109, 93, 91, 80, 72, 63, 59, 97, 95, 62, 60, 48,
+	}
+	sameTrace(t, want, trace, "golden")
+}
+
 func sameTrace(t *testing.T, want, got []bdd.Ref, what string) {
 	t.Helper()
 	if len(want) != len(got) {

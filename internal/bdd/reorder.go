@@ -1,7 +1,5 @@
 package bdd
 
-import "sort"
-
 // Dynamic variable reordering (Rudell's sifting), the feature CUDD provides
 // the SyRep authors' prototype. Reordering changes where each variable sits
 // in the order while preserving every node's Boolean function and keeping
@@ -63,32 +61,25 @@ func (m *Manager) swapLevels(x Var) {
 		return
 	}
 
-	// Partition live node slots by level. Dead (freed) slots are excluded
-	// via the unique table, which indexes exactly the live nodes.
+	// Partition the live nodes at both levels, walking the arena in Ref
+	// order: the phase-3 rewrites call mk() per collected slot, allocating
+	// fresh nodes, so the visiting order fixes every Ref the caller sees
+	// afterwards. Unlink them all: after the swap "level x" means a
+	// different variable, so every node at x and y is relinked below.
 	var upper, lower []Ref // level x (var u) and level y (var v) nodes
-	for key, ref := range m.unique {
-		switch key.level {
+	for r := Ref(2); int(r) < len(m.nodes); r++ {
+		switch m.nodes[r].level {
 		case x:
-			upper = append(upper, ref)
+			upper = append(upper, r)
 		case y:
-			lower = append(lower, ref)
+			lower = append(lower, r)
 		}
 	}
-	// The phase-3 rewrites call mk() per collected slot, allocating fresh
-	// nodes; iterating in map order would make those allocations — and hence
-	// every Ref the caller sees afterwards — differ run to run. Sort so a
-	// given DAG always reorders identically.
-	sort.Slice(upper, func(i, j int) bool { return upper[i] < upper[j] })
-	sort.Slice(lower, func(i, j int) bool { return lower[i] < lower[j] })
-	// Remove stale keys: after the swap, "level x" means a different
-	// variable, so every entry at x and y is rekeyed below.
 	for _, r := range upper {
-		n := m.nodes[r]
-		delete(m.unique, uniqueKey{level: x, low: n.low, high: n.high})
+		m.unlink(r)
 	}
 	for _, r := range lower {
-		n := m.nodes[r]
-		delete(m.unique, uniqueKey{level: y, low: n.low, high: n.high})
+		m.unlink(r)
 	}
 
 	// Phase 1: upper nodes that do not branch on the lower variable simply
@@ -101,20 +92,19 @@ func (m *Manager) swapLevels(x Var) {
 			continue
 		}
 		m.nodes[r].level = y
-		m.unique[uniqueKey{level: y, low: n.low, high: n.high}] = r
+		m.link(r)
 	}
 
 	// Phase 2: lower nodes keep their structure and rise to level x *if*
-	// they remain referenced from above; dead ones are reinserted anyway and
+	// they remain referenced from above; dead ones are relinked anyway and
 	// collected by the next GC. They must be rekeyed before the rewrites so
 	// that rewrites can share them... they cannot: a risen node has the
 	// lower variable on top, exactly like a rewritten upper node, and the
 	// canonicity argument (distinct functions before the swap stay distinct)
 	// rules out collisions.
 	for _, r := range lower {
-		n := m.nodes[r]
 		m.nodes[r].level = x
-		m.unique[uniqueKey{level: x, low: n.low, high: n.high}] = r
+		m.link(r)
 	}
 
 	// Phase 3: upper nodes branching on the lower variable are rewritten:
@@ -141,10 +131,8 @@ func (m *Manager) swapLevels(x Var) {
 			// anyway to fail loudly instead of corrupting the table.
 			panic("bdd: swapLevels produced a redundant node")
 		}
-		m.nodes[r].level = x
-		m.nodes[r].low = inner0
-		m.nodes[r].high = inner1
-		m.unique[uniqueKey{level: x, low: inner0, high: inner1}] = r
+		m.nodes[r] = node{level: x, low: inner0, high: inner1}
+		m.link(r)
 	}
 
 	// Swap the permutation entries.
@@ -153,7 +141,7 @@ func (m *Manager) swapLevels(x Var) {
 	m.var2level[u], m.var2level[v] = y, x
 
 	// The operation cache refers to pre-swap structure.
-	m.cache = make(map[cacheKey]Ref, 1024)
+	m.clearCache()
 }
 
 // cofactorAt returns the cofactors of f with respect to the variable that
@@ -170,9 +158,9 @@ func (m *Manager) cofactorAt(f Ref, newLevel Var) (low, high Ref) {
 func (m *Manager) nodesPerLevel() []int {
 	m.ensurePerm()
 	counts := make([]int, len(m.level2var))
-	for key := range m.unique {
-		if int(key.level) < len(counts) {
-			counts[key.level]++
+	for r := 2; r < len(m.nodes); r++ {
+		if l := m.nodes[r].level; l != freeLevel && int(l) < len(counts) {
+			counts[l]++
 		}
 	}
 	return counts
@@ -246,7 +234,7 @@ func (m *Manager) Reorder(cfg ReorderConfig) {
 	}
 
 	m.GC()
-	total := len(m.unique)
+	total := m.uniqueSize()
 	swapBudget := cfg.MaxSwaps
 	if swapBudget <= 0 {
 		swapBudget = 1 << 30
@@ -261,12 +249,11 @@ func (m *Manager) Reorder(cfg ReorderConfig) {
 		}
 		// Early abort when sifting is clearly not paying for itself.
 		if i >= 3 {
-			if float64(len(m.unique)) > (1-cfg.MinGain)*float64(total) {
+			if float64(m.uniqueSize()) > (1-cfg.MinGain)*float64(total) {
 				break
 			}
 		}
 	}
-	m.Stats.Reorders++
 	m.obsReorders.Inc()
 }
 
@@ -355,4 +342,6 @@ func (m *Manager) siftVar(v Var, maxGrowth float64, stride, maxSwaps int) int {
 	return swaps
 }
 
-func (m *Manager) uniqueSize() int { return len(m.unique) }
+// uniqueSize returns the number of non-terminal nodes in the table. Sifting
+// reads it only right after a GC, when every such node is live.
+func (m *Manager) uniqueSize() int { return m.NumNodes() - 2 }

@@ -3,7 +3,18 @@ package bdd
 import (
 	"math/rand"
 	"testing"
+
+	"syrep/internal/obs"
 )
+
+// observed returns a Manager with an observer attached, so a test can read
+// its counters.
+func observed() (*Manager, *obs.Observer) {
+	o := obs.New(nil)
+	m := New()
+	m.Observe(o.BDD())
+	return m, o
+}
 
 // truthTable evaluates f over all assignments of the first nvars variables.
 func truthTable(m *Manager, f Ref, nvars int) uint64 {
@@ -39,6 +50,7 @@ func TestSwapLevelsPreservesFunctions(t *testing.T) {
 	for round := 0; round < 40; round++ {
 		x := Var(rng.Intn(quickVars - 1))
 		m.swapLevels(x)
+		checkStructure(t, m)
 		for i, fn := range funcs {
 			if got := truthTable(m, fn.ref, quickVars); got != fn.table {
 				t.Fatalf("round %d (swap at %d): function %d changed: %064b != %064b",
@@ -52,6 +64,80 @@ func TestSwapLevelsPreservesFunctions(t *testing.T) {
 			t.Fatalf("permutation arrays inconsistent at %d", v)
 		}
 	}
+}
+
+// TestSwapLevelsGrowsTableMidPass fills the unique table to exactly its
+// bucket count and then swaps two levels whose rewrites allocate, so the
+// table must double while the rewritten upper nodes are off every chain. A
+// rehash that walked the arena instead of the chains would link those nodes
+// once there and again when the swap relinks them.
+func TestSwapLevelsGrowsTableMidPass(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	m := New()
+	m.NewVars("x", quickVars)
+	var formulas []*formula
+	var refs []Ref
+	var tables []uint64
+	for i := 0; i < 30; i++ {
+		f := randFormula(rng, 5)
+		r := f.build(m)
+		m.Ref(r)
+		formulas, refs = append(formulas, f), append(refs, r)
+		tables = append(tables, truthTable(m, r, quickVars))
+	}
+	m.GC()
+	// Swap where the most upper nodes branch on the lower level.
+	var x Var
+	best := -1
+	for l := Var(1); l+1 < quickVars; l++ {
+		n := 0
+		for r := Ref(2); int(r) < len(m.nodes); r++ {
+			nd := m.nodes[r]
+			if nd.level == l && (m.nodes[nd.low].level == l+1 || m.nodes[nd.high].level == l+1) {
+				n++
+			}
+		}
+		if n > best {
+			x, best = l, n
+		}
+	}
+	// Pad with unreferenced level-0 nodes over pairs of deeper nodes until
+	// the live nodes fill the buckets: the swap makes the next allocation.
+	var deep []Ref
+	for r := Ref(2); int(r) < len(m.nodes); r++ {
+		if l := m.nodes[r].level; l > 0 && l != freeLevel {
+			deep = append(deep, r)
+		}
+	}
+	size := len(m.buckets)
+pad:
+	for _, lo := range deep {
+		for _, hi := range deep {
+			if m.NumNodes() == size {
+				break pad
+			}
+			m.mk(0, lo, hi)
+		}
+	}
+	if m.NumNodes() != size || len(m.buckets) != size {
+		t.Fatalf("padding left %d nodes in %d buckets, want %d in %d", m.NumNodes(), len(m.buckets), size, size)
+	}
+
+	m.swapLevels(x)
+	if len(m.buckets) <= size {
+		t.Fatalf("swap at level %d (%d rewrites) did not grow the %d-bucket table", x, best, size)
+	}
+	checkStructure(t, m)
+	for i, r := range refs {
+		if got := truthTable(m, r, quickVars); got != tables[i] {
+			t.Fatalf("function %d changed by the swap: %064b != %064b", i, got, tables[i])
+		}
+		if formulas[i].build(m) != r {
+			t.Fatalf("function %d: canonicity lost after the swap", i)
+		}
+	}
+	m.GC()
+	checkStructure(t, m)
 }
 
 func TestSwapLevelsKeepsCanonicity(t *testing.T) {
@@ -95,7 +181,7 @@ func TestReorderPreservesFunctionsAndShrinks(t *testing.T) {
 	// a1 b1 a2 b2 ... it is linear. Build it under the BAD order and let
 	// sifting find a good one.
 	const n = 7
-	m := New()
+	m, o := observed()
 	av := m.NewVars("a", n)
 	bv := m.NewVars("b", n)
 	f := False
@@ -133,8 +219,8 @@ func TestReorderPreservesFunctionsAndShrinks(t *testing.T) {
 			t.Fatalf("sample %d: function changed by Reorder", i)
 		}
 	}
-	if m.Stats.Reorders != 1 {
-		t.Errorf("Stats.Reorders = %d, want 1", m.Stats.Reorders)
+	if got := o.Snapshot().Counter(obs.BDDReorders); got != 1 {
+		t.Errorf("reorders counter = %d, want 1", got)
 	}
 	t.Logf("interleaving example: %d nodes -> %d nodes", before, after)
 }
@@ -171,7 +257,7 @@ func TestReorderKeepsCanonicity(t *testing.T) {
 }
 
 func TestReorderMaxVars(t *testing.T) {
-	m := New()
+	m, o := observed()
 	vars := m.NewVars("x", 6)
 	f := False
 	for i := 0; i+1 < len(vars); i += 2 {
@@ -179,7 +265,7 @@ func TestReorderMaxVars(t *testing.T) {
 	}
 	m.Ref(f)
 	m.Reorder(ReorderConfig{MaxVars: 2})
-	if m.Stats.Reorders != 1 {
+	if o.Snapshot().Counter(obs.BDDReorders) != 1 {
 		t.Error("Reorder did not run")
 	}
 }

@@ -19,9 +19,10 @@ type churnArtifact struct {
 	Result       *SimResult `json:"result"`
 }
 
-// TestChurnSimulation is the churn gate: a seeded Poisson event stream
-// driven through a live controller under -race, asserting the trichotomy,
-// coalescing, epoch discipline, and warm-path dominance end to end.
+// TestChurnSimulation is the churn gate: a seeded event stream, paced in
+// logical time, driven through a live controller under -race, asserting
+// the trichotomy, coalescing, epoch discipline, and warm-path dominance end
+// to end.
 //
 // The default target keeps `go test` quick; `make churn` raises it to the
 // full 1000 epochs via SYREP_CHURN_EPOCHS and commits the SLO artifact.

@@ -15,10 +15,12 @@ import (
 	"syrep/internal/server"
 )
 
-// SimConfig parameterizes the Poisson churn simulation: a seeded stream of
-// link up/down events with exponential inter-arrival times driven through a
-// live controller against an in-memory sink. The same seed reproduces the
-// same event stream.
+// SimConfig parameterizes the churn simulation: a seeded stream of link
+// up/down events driven through a live controller against an in-memory
+// sink. The stream is paced in logical time — each event or burst is
+// offered once the controller has applied the previous one — so the same
+// seed reproduces the same event stream, and every round advances the
+// topology epoch, however fast the machine runs the repairs.
 type SimConfig struct {
 	// Seed keys the topology chords, the event stream, and the pusher's
 	// backoff jitter.
@@ -33,9 +35,6 @@ type SimConfig struct {
 	TargetEpochs int
 	// MaxEvents caps offered events (default 50 × TargetEpochs).
 	MaxEvents int
-	// MeanGap is the mean of the exponential inter-arrival time
-	// (default 500µs).
-	MeanGap time.Duration
 	// FlapEvery makes every Nth event a flap burst — three opposing
 	// toggles of one link offered back to back — exercising coalescing
 	// (default 25; 0 disables).
@@ -59,9 +58,6 @@ func (cfg SimConfig) withDefaults() SimConfig {
 	}
 	if cfg.MaxEvents <= 0 {
 		cfg.MaxEvents = 50 * cfg.TargetEpochs
-	}
-	if cfg.MeanGap <= 0 {
-		cfg.MeanGap = 500 * time.Microsecond
 	}
 	if cfg.FlapEvery == 0 {
 		cfg.FlapEvery = 25
@@ -166,12 +162,13 @@ func RunSim(ctx context.Context, cfg SimConfig) (*SimResult, error) {
 		runExit <- ctl.Run(runCtx)
 	}()
 
-	// Event generation: seeded Poisson arrivals toggling random links, with
-	// periodic flap bursts. Up events only revive failed links, and the
-	// concurrent failure count stays capped so repairs mostly succeed.
+	// Event generation: seeded toggles of random links, with periodic flap
+	// bursts. Up events only revive failed links, and the concurrent failure
+	// count stays capped so repairs mostly succeed. down is the generator's
+	// model of the failed links: the net effect of every accepted offer.
 	links := base.EdgeKeys()
 	sort.Strings(links)
-	desiredDown := make(map[string]bool)
+	down := make(map[string]bool)
 	accepted, rejected, offered := 0, 0, 0
 	offer := func(link string, up bool) {
 		offered++
@@ -183,23 +180,30 @@ func RunSim(ctx context.Context, cfg SimConfig) (*SimResult, error) {
 			return
 		}
 		accepted++
+		if up {
+			delete(down, link)
+		} else {
+			down[link] = true
+		}
 	}
 	nextToggle := func() (string, bool) {
 		link := links[rng.Intn(len(links))]
-		if desiredDown[link] {
-			delete(desiredDown, link)
+		if down[link] {
 			return link, true
 		}
-		if len(desiredDown) >= cfg.MaxDown {
+		if len(down) >= cfg.MaxDown {
 			for _, l := range links { // deterministic: revive lowest failed link
-				if desiredDown[l] {
-					delete(desiredDown, l)
+				if down[l] {
 					return l, true
 				}
 			}
 		}
-		desiredDown[link] = true
 		return link, false
+	}
+	settledAll := func() bool {
+		settleMu.Lock()
+		defer settleMu.Unlock()
+		return len(settlements) >= accepted
 	}
 	for offered < cfg.MaxEvents && ctl.Epoch() < uint64(cfg.TargetEpochs) {
 		if ctx.Err() != nil {
@@ -215,8 +219,20 @@ func RunSim(ctx context.Context, cfg SimConfig) (*SimResult, error) {
 		} else {
 			offer(link, up)
 		}
-		gap := time.Duration(rng.ExpFloat64() * float64(cfg.MeanGap))
-		time.Sleep(gap)
+		// Logical pacing: the next round waits until the controller has
+		// applied this one, so each round changes the topology and the
+		// epoch target is reached whatever the machine's speed. Every
+		// other round (seeded) also waits for the repair pass to settle,
+		// so the latency histogram measures repairs rather than the length
+		// of the stream; a round that does not wait lands while that pass
+		// runs, which is what exercises the stale-repair discards.
+		settle := rng.Intn(2) == 0
+		caughtUp := func() bool {
+			return ctl.applied(down) && (!settle || settledAll())
+		}
+		if err := await(ctx, runExit, caughtUp); err != nil {
+			return nil, err
+		}
 	}
 
 	// Quiesce: every accepted event settles (the drain below rejects any
@@ -286,6 +302,42 @@ func RunSim(ctx context.Context, cfg SimConfig) (*SimResult, error) {
 		res.FinalTables[d] = len(sink.Table(d))
 	}
 	return res, nil
+}
+
+// applied reports whether the controller has applied every accepted offer:
+// its inbox is empty and its failed links are exactly down. Should a
+// drained batch still await applyBatch while this holds, each of its links
+// already sits at its final state, so the batch is a no-op.
+func (c *Controller) applied(down map[string]bool) bool {
+	if c.inbox.depth() > 0 {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.down) != len(down) {
+		return false
+	}
+	for l := range c.down {
+		if !down[l] {
+			return false
+		}
+	}
+	return true
+}
+
+// await polls cond until it holds. It fails when ctx ends or the
+// controller's Run exits first, which would leave cond false forever.
+func await(ctx context.Context, runExit <-chan error, cond func() bool) error {
+	for !cond() {
+		select {
+		case <-ctx.Done():
+			return context.Cause(ctx)
+		case err := <-runExit:
+			return fmt.Errorf("sim: controller stopped mid-stream: %v", err)
+		case <-time.After(100 * time.Microsecond):
+		}
+	}
+	return nil
 }
 
 // checkConvergence proves the epoch discipline end to end: the sink's
